@@ -4,7 +4,7 @@ GO ?= go
 
 # The perf ledger bench-ledger writes; bump the number with the PR
 # sequence so ledger-check can diff consecutive ledgers.
-LEDGER ?= BENCH_10.json
+LEDGER ?= BENCH_16.json
 
 all: build
 
@@ -43,7 +43,9 @@ bench:
 # the async job queue end to end over a warm Shared, a scheduler
 # sweep firing N due schedules through bounded admission, and the
 # load-harness pair: corpusgen size-targeting at 10x plus a warm
-# batch run over the 10x corpus.
+# batch run over the 10x corpus, and COI detection of 63 reviewers
+# against one prepared author list (a regression there means conflict
+# checks allocate per reviewer again).
 bench-smoke:
 	$(GO) test -bench=BenchmarkBatchPipeline -benchtime=1x -run '^$$' .
 	$(GO) test -bench='BenchmarkRetrieveCluster|BenchmarkRetrieveCold' -benchtime=1x -run '^$$' ./internal/core
@@ -53,6 +55,7 @@ bench-smoke:
 	$(GO) test -bench='BenchmarkCorpusGen$$/10x|BenchmarkWarmBatch10x' -benchtime=1x -run '^$$' .
 	$(GO) test -bench=BenchmarkSSEFanout -benchtime=1x -run '^$$' ./internal/httpapi
 	$(GO) test -bench=BenchmarkIncrementalInvalidate -benchtime=1x -run '^$$' ./internal/core
+	$(GO) test -bench=BenchmarkCOIDetection -benchtime=50x -run '^$$' .
 
 # Record the smoke suite as a perf ledger (see cmd/benchledger).
 # -count=3 so the ledger keeps the minimum of three observations per
@@ -71,6 +74,7 @@ bench-ledger:
 	run $(GO) test -bench='BenchmarkCorpusGen$$/10x|BenchmarkWarmBatch10x' -benchtime=1x -count=3 -benchmem -run '^$$' . ; \
 	run $(GO) test -bench=BenchmarkSSEFanout -benchtime=1x -count=3 -benchmem -run '^$$' ./internal/httpapi ; \
 	run $(GO) test -bench=BenchmarkIncrementalInvalidate -benchtime=1x -count=3 -benchmem -run '^$$' ./internal/core ; \
+	run $(GO) test -bench=BenchmarkCOIDetection -benchtime=50x -count=3 -benchmem -run '^$$' . ; \
 	$(GO) run ./cmd/benchledger -out $(LEDGER) <"$$tmp"; \
 	rm -f "$$tmp"
 
@@ -113,14 +117,17 @@ stream-smoke:
 
 # CI gate: ten seconds of native Go fuzzing per hardened decoder — the
 # envelope file/range readers, the MINWATCH watch-store codec, and the
-# SSE Last-Event-ID parser. Long enough to catch a reintroduced panic
-# or round-trip break, short enough for every CI run; go test allows
-# one -fuzz pattern per invocation, hence one line per target.
+# SSE Last-Event-ID parser — plus the tokenized name matcher checked
+# against its string-based oracle. Long enough to catch a reintroduced
+# panic, round-trip break or matcher divergence, short enough for every
+# CI run; go test allows one -fuzz pattern per invocation, hence one
+# line per target.
 fuzz-smoke:
 	$(GO) test -fuzz='FuzzDecodeFile$$' -fuzztime=10s -run '^$$' ./internal/envelope
 	$(GO) test -fuzz=FuzzDecodeFileRange -fuzztime=10s -run '^$$' ./internal/envelope
 	$(GO) test -fuzz=FuzzWatchStoreLoad -fuzztime=10s -run '^$$' ./internal/jobs
 	$(GO) test -fuzz=FuzzParseLastEventID -fuzztime=10s -run '^$$' ./internal/httpapi
+	$(GO) test -fuzz=FuzzNameMatch -fuzztime=10s -run '^$$' ./internal/nameres
 
 # CI gate: the self-adaptation acceptance scenario — adaptbench replays
 # one venue-deadline-spike trace against an undersized server with

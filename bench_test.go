@@ -204,8 +204,9 @@ func BenchmarkKeywordExpansion(b *testing.B) {
 	})
 }
 
-// BenchmarkCOIDetection (E3): conflict checking one reviewer against an
-// author list, by track-record size.
+// BenchmarkCOIDetection (E3): conflict checking 63 reviewers against
+// one author list, which is prepared once per iteration the way the
+// filter phase prepares it once per manuscript.
 func BenchmarkCOIDetection(b *testing.B) {
 	e := env(b)
 	// Build profiles straight from corpus ground truth (no HTTP).
@@ -236,10 +237,12 @@ func BenchmarkCOIDetection(b *testing.B) {
 		reviewers = append(reviewers, mk(id))
 	}
 	det := coi.NewDetector(coi.DefaultConfig(e.Corpus.HorizonYear))
+	authors := []*profile.Profile{author}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		prepared := det.Prepare(authors)
 		for _, r := range reviewers {
-			_ = det.Detect(r, []*profile.Profile{author})
+			_ = prepared.Detect(r)
 		}
 	}
 }

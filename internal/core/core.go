@@ -611,8 +611,12 @@ dispatch:
 // filterCandidates applies author-self exclusion plus the configured
 // filter policy, returning kept candidates.
 func (e *Engine) filterCandidates(profiles map[*candidate]*profile.Profile, res *Result) []*scoredProfile {
-	fcfg := e.cfg.Filter
-	f := filter.New(fcfg)
+	f := filter.New(e.cfg.Filter)
+	authors := f.Prepare(res.AuthorProfiles)
+	authorNames := make([]nameres.Name, len(res.Manuscript.Authors))
+	for i, a := range res.Manuscript.Authors {
+		authorNames[i] = nameres.ParseName(a.Name)
+	}
 	// Deterministic iteration order.
 	cands := make([]*candidate, 0, len(profiles))
 	for c := range profiles {
@@ -645,8 +649,8 @@ func (e *Engine) filterCandidates(profiles map[*candidate]*profile.Profile, res 
 		// A manuscript author can surface as their own reviewer
 		// candidate; always exclude.
 		isAuthor := false
-		for _, a := range res.Manuscript.Authors {
-			if nameres.NamesCompatible(p.Name, a.Name) {
+		for _, a := range authorNames {
+			if a.Matches(p.Name) {
 				isAuthor = true
 				break
 			}
@@ -658,7 +662,7 @@ func (e *Engine) filterCandidates(profiles map[*candidate]*profile.Profile, res 
 			})
 			continue
 		}
-		d := f.Evaluate(p, c.best, res.AuthorProfiles)
+		d := f.Evaluate(p, c.best, authors)
 		if !d.Kept {
 			res.ExcludedCandidates = append(res.ExcludedCandidates, Excluded{
 				Name: p.Name, Reasons: d.Reasons,

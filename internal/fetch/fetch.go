@@ -49,7 +49,8 @@ type Options struct {
 	// Burst is the token-bucket burst per host. Default 10.
 	Burst int
 	// Transport overrides the HTTP transport (tests inject failures
-	// here). Default http.DefaultTransport.
+	// here). Default: http.DefaultTransport with an idle pool deep
+	// enough for the extraction fan-out (see idleConnsPerHost).
 	Transport http.RoundTripper
 	// DisableCache turns caching off entirely.
 	DisableCache bool
@@ -83,7 +84,7 @@ func (o Options) withDefaults() Options {
 		o.Burst = 10
 	}
 	if o.Transport == nil {
-		o.Transport = http.DefaultTransport
+		o.Transport = defaultTransport
 	}
 	if o.now == nil {
 		o.now = time.Now
@@ -93,6 +94,21 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
+
+// idleConnsPerHost sizes the default transport's idle pool to the
+// extraction fan-out: 8 candidate workers each assembling up to 6
+// sources at once, which all share one host when the sources are served
+// together. http.DefaultTransport keeps 2 idle connections per host, so
+// most requests of a burst would dial anew.
+const idleConnsPerHost = 8 * 6
+
+// defaultTransport is shared by every Client without a Transport, as
+// http.DefaultTransport is, so connections outlive any one Client.
+var defaultTransport = func() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = idleConnsPerHost
+	return t
+}()
 
 func sleepCtx(ctx context.Context, d time.Duration) error {
 	t := time.NewTimer(d)

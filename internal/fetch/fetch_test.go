@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -456,4 +457,44 @@ func TestConcurrentGets(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+}
+
+// TestFanOutReusesConnections: repeated bursts of concurrent fetches as
+// wide as the extraction fan-out reuse pooled connections instead of
+// dialing anew for most requests of every burst.
+func TestFanOutReusesConnections(t *testing.T) {
+	var newConns atomic.Int64
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(time.Millisecond) // keep a burst's requests in flight together
+		fmt.Fprint(w, r.URL.Path)
+	}))
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			newConns.Add(1)
+		}
+	}
+	srv.Start()
+	t.Cleanup(srv.Close)
+	c := New(Options{DisableCache: true, PerHostRate: -1})
+
+	const width, bursts = 24, 8
+	for b := 0; b < bursts; b++ {
+		var wg sync.WaitGroup
+		for i := 0; i < width; i++ {
+			wg.Add(1)
+			go func(b, i int) {
+				defer wg.Done()
+				if _, err := c.Get(context.Background(), fmt.Sprintf("%s/%d/%d", srv.URL, b, i)); err != nil {
+					t.Error(err)
+				}
+			}(b, i)
+		}
+		wg.Wait()
+	}
+	// Dialing is bounded by the widest burst (plus the odd dial that
+	// loses its race to a freed connection), not by bursts × width.
+	if n := newConns.Load(); n > 2*width {
+		t.Fatalf("%d new connections for %d bursts of %d concurrent fetches, want at most %d",
+			n, bursts, width, 2*width)
+	}
 }

@@ -83,6 +83,8 @@ type Filter struct {
 	cfg      Config
 	detector *coi.Detector
 	pcSet    map[string]bool
+	// blocked is cfg.BlockedReviewers, tokenized once.
+	blocked []nameres.Name
 }
 
 // New builds a Filter from a config.
@@ -94,19 +96,28 @@ func New(cfg Config) *Filter {
 			f.pcSet[normName(m)] = true
 		}
 	}
+	for _, b := range cfg.BlockedReviewers {
+		f.blocked = append(f.blocked, nameres.ParseName(b))
+	}
 	return f
 }
 
 // Config returns the filter's policy.
 func (f *Filter) Config() Config { return f.cfg }
 
+// Prepare indexes the manuscript authors' assembled profiles for the
+// COI policy, once per manuscript.
+func (f *Filter) Prepare(authors []*profile.Profile) *coi.Authors {
+	return f.detector.Prepare(authors)
+}
+
 // Evaluate decides one candidate. bestKeywordScore is the maximum
 // expanded-keyword similarity that retrieved the candidate; authors are
-// the manuscript authors' assembled profiles.
-func (f *Filter) Evaluate(reviewer *profile.Profile, bestKeywordScore float64, authors []*profile.Profile) Decision {
+// the manuscript's authors from Prepare (nil: none).
+func (f *Filter) Evaluate(reviewer *profile.Profile, bestKeywordScore float64, authors *coi.Authors) Decision {
 	var reasons []Reason
 
-	if ev := f.detector.Detect(reviewer, authors); len(ev) > 0 {
+	if ev := authors.Detect(reviewer); len(ev) > 0 {
 		reasons = append(reasons, Reason{
 			Kind:   "coi",
 			Detail: fmt.Sprintf("%d conflict(s), first: %s", len(ev), ev[0]),
@@ -132,11 +143,11 @@ func (f *Filter) Evaluate(reviewer *profile.Profile, bestKeywordScore float64, a
 			Detail: "not on the programme committee",
 		})
 	}
-	for _, blocked := range f.cfg.BlockedReviewers {
-		if nameres.NamesCompatible(reviewer.Name, blocked) {
+	for i, blocked := range f.blocked {
+		if blocked.Matches(reviewer.Name) {
 			reasons = append(reasons, Reason{
 				Kind:   "blocked",
-				Detail: "on the editor's blocked-reviewer list (" + blocked + ")",
+				Detail: "on the editor's blocked-reviewer list (" + f.cfg.BlockedReviewers[i] + ")",
 			})
 			break
 		}

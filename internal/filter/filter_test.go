@@ -33,7 +33,7 @@ func authorProfiles() []*profile.Profile {
 
 func TestKeepCleanCandidate(t *testing.T) {
 	f := New(Config{COI: coi.DefaultConfig(2018)})
-	d := f.Evaluate(cleanReviewer(), 0.9, authorProfiles())
+	d := f.Evaluate(cleanReviewer(), 0.9, f.Prepare(authorProfiles()))
 	if !d.Kept || len(d.Reasons) != 0 {
 		t.Fatalf("decision = %+v", d)
 	}
@@ -43,7 +43,7 @@ func TestCOIExcludes(t *testing.T) {
 	r := cleanReviewer()
 	r.Publications = append(r.Publications, profile.Publication{Title: "Author Paper", Year: 2016})
 	f := New(Config{COI: coi.DefaultConfig(2018)})
-	d := f.Evaluate(r, 0.9, authorProfiles())
+	d := f.Evaluate(r, 0.9, f.Prepare(authorProfiles()))
 	if d.Kept {
 		t.Fatal("co-author kept")
 	}
@@ -122,7 +122,7 @@ func TestMultipleReasonsAccumulate(t *testing.T) {
 		MinKeywordScore: 0.9,
 		Expertise:       ExpertiseConstraints{MinCitations: 10000},
 	})
-	d := f.Evaluate(r, 0.3, authorProfiles())
+	d := f.Evaluate(r, 0.3, f.Prepare(authorProfiles()))
 	if d.Kept {
 		t.Fatal("kept")
 	}

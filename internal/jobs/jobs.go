@@ -720,53 +720,69 @@ func (q *Queue) noteItem(rec *record, it batch.Item) {
 	q.touchLocked(rec)
 }
 
-// finish records a run's outcome and persists it.
+// finish records a run's outcome. It persists first and publishes
+// after: the outcome is staged on a copy of the record, saved, and only
+// then applied to the record, versioned and announced — waiters woken,
+// the webhook enqueued — so no client is ever told of a state the store
+// does not hold yet.
 func (q *Queue) finish(rec *record, sum *batch.Summary, err error) {
 	q.mu.Lock()
 	rec.cancel = nil
+	next := *rec
+	q.mu.Unlock()
 	interrupted := err != nil || (sum != nil && sum.Canceled > 0)
 	switch {
-	case rec.userCanceled && interrupted:
-		rec.state = StateCanceled
-		rec.errMsg = "canceled by request"
-		rec.result = sum
-	case q.baseCtx.Err() != nil && !rec.userCanceled:
+	case next.userCanceled && interrupted:
+		next.state = StateCanceled
+		next.errMsg = "canceled by request"
+		next.result = sum
+	case q.baseCtx.Err() != nil && !next.userCanceled:
 		// Shutdown tore the run down mid-flight: the work is not lost,
 		// it re-queues — in the store — and the next process runs it
 		// from scratch.
-		rec.state = StateQueued
-		rec.startedAt = time.Time{}
-		rec.userCanceled = false
-		rec.errMsg = ""
-		rec.result = nil
-		rec.progress = Progress{
-			Total:    len(rec.spec.Manuscripts),
-			Statuses: make([]string, len(rec.spec.Manuscripts)),
+		next.state = StateQueued
+		next.startedAt = time.Time{}
+		next.userCanceled = false
+		next.errMsg = ""
+		next.result = nil
+		next.progress = Progress{
+			Total:    len(next.spec.Manuscripts),
+			Statuses: make([]string, len(next.spec.Manuscripts)),
 		}
 	case err != nil:
-		rec.state = StateFailed
-		rec.errMsg = err.Error()
+		next.state = StateFailed
+		next.errMsg = err.Error()
 	default:
 		// Per-item failures are an outcome, not a job failure — exactly
 		// like /v1/batch answering 200 with per-item statuses.
-		rec.state = StateDone
-		rec.result = sum
+		next.state = StateDone
+		next.result = sum
 	}
-	if rec.state.Terminal() {
-		rec.finishedAt = q.now()
-		// Canceled runs are excluded: their truncated turnaround would
-		// read as the system speeding up under a cancel storm.
-		if rec.state != StateCanceled {
-			q.turnHist.observe(rec.finishedAt.Sub(rec.submittedAt))
-		}
-		q.terminalOrder = append(q.terminalOrder, rec.spec.ID)
-		q.evictTerminalLocked()
-		q.notify.enqueue(rec.snapshot())
+	if next.state.Terminal() {
+		next.finishedAt = q.now()
 	}
-	q.touchLocked(rec)
-	q.mu.Unlock()
 
-	q.saveLogged()
+	// A disk hiccup costs durability, not the transition: publish runs
+	// whether or not the write succeeded.
+	saveErr := q.saveStaged(&next, func() {
+		rec.state, rec.userCanceled = next.state, next.userCanceled
+		rec.startedAt, rec.finishedAt = next.startedAt, next.finishedAt
+		rec.progress, rec.errMsg, rec.result = next.progress, next.errMsg, next.result
+		if rec.state.Terminal() {
+			// Canceled runs are excluded: their truncated turnaround
+			// would read as the system speeding up under a cancel storm.
+			if rec.state != StateCanceled {
+				q.turnHist.observe(rec.finishedAt.Sub(rec.submittedAt))
+			}
+			q.terminalOrder = append(q.terminalOrder, rec.spec.ID)
+			q.evictTerminalLocked()
+			q.notify.enqueue(rec.snapshot())
+		}
+		q.touchLocked(rec)
+	})
+	if saveErr != nil {
+		q.opts.Logf("job store save: %v", saveErr)
+	}
 }
 
 // evictTerminalLocked drops the oldest finished jobs beyond

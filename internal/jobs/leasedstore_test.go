@@ -162,8 +162,18 @@ func TestLeasedStoreKillRestartReclaim(t *testing.T) {
 	<-g.started // running on shard-a; the Submit-time save recorded it queued
 	// SIGKILL shard-a: abandon the queue without Stop — its venue lease
 	// stays on disk, unreleased, and no further saves happen (the gate
-	// stays shut until cleanup, like a process frozen mid-run).
-	t.Cleanup(func() { close(g.release) })
+	// stays shut until cleanup, like a process frozen mid-run). The
+	// cleanup thaws the zombie and waits for it to exit before the
+	// TempDir cleanup removes the directory it would still write into;
+	// its fenced final save fails with ErrLeaseLost by design.
+	t.Cleanup(func() {
+		close(g.release)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := qA.Stop(ctx); err != nil && !errors.Is(err, cluster.ErrLeaseLost) {
+			t.Errorf("zombie stop: %v", err)
+		}
+	})
 
 	storeB := newLeasedStore(t, dir, "shard-b", clock)
 	qB := New(okRunner, Options{Workers: 1, Store: storeB})

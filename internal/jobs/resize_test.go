@@ -40,7 +40,13 @@ func (b *blockRunner) reset() {
 
 func (b *blockRunner) run(ctx context.Context, spec Spec, onItem func(batch.Item)) (*batch.Summary, error) {
 	gate := b.gate()
-	b.started <- spec.ID
+	// Report the start without blocking: a test that never reads
+	// started (TestResizeRaces) admits more runs than the buffer holds,
+	// and a blocking send would then stall every later run forever.
+	select {
+	case b.started <- spec.ID:
+	default:
+	}
 	select {
 	case <-gate:
 	case <-ctx.Done():

@@ -146,10 +146,14 @@ func (s *FileStore) Save(savedAt time.Time, jobs []StoredJob) error {
 // Close is a no-op; a FileStore holds nothing between calls.
 func (s *FileStore) Close() error { return nil }
 
-// persistableLocked snapshots the jobs worth writing, under q.mu.
-func (q *Queue) persistableLocked() []StoredJob {
+// persistableLocked snapshots the jobs worth writing, under q.mu, with
+// staged (when non-nil) written in place of the live record of its ID.
+func (q *Queue) persistableLocked(staged *record) []StoredJob {
 	out := make([]StoredJob, 0, len(q.jobs))
-	for _, rec := range q.jobs {
+	for id, rec := range q.jobs {
+		if staged != nil && id == staged.spec.ID {
+			rec = staged
+		}
 		sj := StoredJob{
 			Spec:        rec.spec,
 			Seq:         rec.seq,
@@ -184,20 +188,32 @@ func (q *Queue) persistableLocked() []StoredJob {
 // jobs) write amplification per transition. RetainTerminal bounds that
 // cost; an incremental (append-style) store is the next step if it ever
 // shows up in profiles.
-func (q *Queue) save() error {
-	if q.store == nil {
-		return nil
-	}
-	// saveMu is held across snapshot AND write: if a slower goroutine
-	// could snapshot first but rename last, an older state would
-	// overwrite a newer one on disk.
+func (q *Queue) save() error { return q.saveStaged(nil, nil) }
+
+// saveStaged is save with staged, a record's next state not yet applied
+// to the live record, written in its place; publish then runs under q.mu
+// once the write has returned, and applies it. saveMu is held across
+// snapshot, write AND publish: if a slower goroutine could snapshot first
+// but rename last, an older state would overwrite a newer one on disk,
+// and a save between write and publish would snapshot the record's
+// superseded state.
+func (q *Queue) saveStaged(staged *record, publish func()) error {
 	q.saveMu.Lock()
 	defer q.saveMu.Unlock()
-	q.mu.Lock()
-	jobs := q.persistableLocked()
-	savedAt := q.now().UTC()
-	q.mu.Unlock()
-	return q.store.Save(savedAt, jobs)
+	var err error
+	if q.store != nil {
+		q.mu.Lock()
+		jobs := q.persistableLocked(staged)
+		savedAt := q.now().UTC()
+		q.mu.Unlock()
+		err = q.store.Save(savedAt, jobs)
+	}
+	if publish != nil {
+		q.mu.Lock()
+		publish()
+		q.mu.Unlock()
+	}
+	return err
 }
 
 // saveLogged is save for the transition paths, where a disk hiccup

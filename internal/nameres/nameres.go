@@ -10,10 +10,12 @@
 package nameres
 
 import (
+	"bytes"
 	"context"
 	"sort"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"minaret/internal/fetch"
 	"minaret/internal/sources"
@@ -303,33 +305,70 @@ func pad2(n int) string {
 // NormalizeName lower-cases, strips punctuation and diacritic-free folds
 // a display name to comparable tokens.
 func NormalizeName(name string) []string {
-	var b strings.Builder
-	for _, r := range strings.ToLower(name) {
-		switch {
+	return strings.Fields(string(appendNameTokens(nil, name)))
+}
+
+// appendNameTokens appends name's comparable tokens to dst, separated by
+// single spaces: letters and digits lower-cased; white space, periods,
+// commas, hyphens and apostrophes separating tokens; every other rune
+// dropped.
+func appendNameTokens(dst []byte, name string) []byte {
+	start, gap := len(dst), false
+	for _, r := range name {
+		switch r = unicode.ToLower(r); {
 		case unicode.IsLetter(r) || unicode.IsDigit(r):
-			b.WriteRune(r)
-		case r == '.' || r == ',' || r == '-' || r == '\'':
-			b.WriteByte(' ')
-		case unicode.IsSpace(r):
-			b.WriteByte(' ')
+			if gap && len(dst) > start {
+				dst = append(dst, ' ')
+			}
+			gap = false
+			dst = utf8.AppendRune(dst, r)
+		case r == '.' || r == ',' || r == '-' || r == '\'' || unicode.IsSpace(r):
+			gap = true
 		}
 	}
-	return strings.Fields(b.String())
+	return dst
+}
+
+// Name is a display name tokenized once, so it can be checked against
+// many other names without re-tokenizing: NormalizeName's tokens joined
+// by single spaces.
+type Name struct{ tokens []byte }
+
+// ParseName tokenizes name for repeated compatibility checks.
+func ParseName(name string) Name { return ParseNameInto(nil, name) }
+
+// ParseNameInto is ParseName building into buf's storage, so a scan that
+// tokenizes one name per step can reuse a stack buffer and allocate
+// nothing. The returned Name aliases buf.
+func ParseNameInto(buf []byte, name string) Name {
+	return Name{tokens: appendNameTokens(buf[:0], name)}
 }
 
 // NamesCompatible reports whether two rendered names could denote the
 // same person, tolerating initials ("L. Zhou" vs "Lei Zhou") and
 // reordered tokens ("Zhou, Lei").
-func NamesCompatible(a, b string) bool {
-	ta, tb := NormalizeName(a), NormalizeName(b)
-	if len(ta) == 0 || len(tb) == 0 {
+func NamesCompatible(a, b string) bool { return ParseName(a).Matches(b) }
+
+// Matches is Compatible against a name not yet tokenized. It tokenizes
+// into a stack buffer, so names of ordinary length cost no allocation.
+func (n Name) Matches(name string) bool {
+	var buf [64]byte
+	return n.Compatible(ParseNameInto(buf[:0], name))
+}
+
+// Compatible reports whether n and m could denote the same person; it
+// is NamesCompatible on tokenized names and never allocates.
+func (n Name) Compatible(m Name) bool {
+	if len(n.tokens) == 0 || len(m.tokens) == 0 {
 		return false
 	}
 	// Index-form names ("Zhou, Lei") normalize with the family name
-	// first; try both rotations of both sides so the check is symmetric.
-	for _, xa := range rotations(ta) {
-		for _, xb := range rotations(tb) {
-			if orderedCompatible(xa, xb) {
+	// first; try both readings of both sides so the check is symmetric.
+	for ra := 0; ra < n.readings(); ra++ {
+		ga, fa := n.reading(ra)
+		for rb := 0; rb < m.readings(); rb++ {
+			gb, fb := m.reading(rb)
+			if orderedCompatible(ga, fa, gb, fb) {
 				return true
 			}
 		}
@@ -337,52 +376,60 @@ func NamesCompatible(a, b string) bool {
 	return false
 }
 
-// rotations returns the token list as-is and rotated one position (family
-// first -> family last). Single-token names have one form.
-func rotations(t []string) [][]string {
-	if len(t) < 2 {
-		return [][]string{t}
+// readings is 1 for a single-token name and 2 otherwise.
+func (n Name) readings() int {
+	if bytes.IndexByte(n.tokens, ' ') < 0 {
+		return 1
 	}
-	rot := make([]string, 0, len(t))
-	rot = append(rot, t[1:]...)
-	rot = append(rot, t[0])
-	return [][]string{t, rot}
+	return 2
 }
 
-// orderedCompatible checks "given... family" forms: family tokens must be
-// equal, given tokens pairwise compatible (equal, or initial of the
-// other).
-func orderedCompatible(ta, tb []string) bool {
-	if ta[len(ta)-1] != tb[len(tb)-1] {
+// reading splits the name "given... family": reading 0 takes the tokens
+// as written, reading 1 rotates them one position (family first ->
+// family last).
+func (n Name) reading(r int) (given, family []byte) {
+	if r == 0 {
+		i := bytes.LastIndexByte(n.tokens, ' ')
+		if i < 0 {
+			return nil, n.tokens
+		}
+		return n.tokens[:i], n.tokens[i+1:]
+	}
+	i := bytes.IndexByte(n.tokens, ' ')
+	return n.tokens[i+1:], n.tokens[:i]
+}
+
+// orderedCompatible checks two "given... family" readings: family tokens
+// must be equal, given tokens pairwise compatible (equal, or initial of
+// the other) as far as the shorter list goes.
+func orderedCompatible(givenA, familyA, givenB, familyB []byte) bool {
+	if !bytes.Equal(familyA, familyB) {
 		return false
 	}
-	ga, gb := ta[:len(ta)-1], tb[:len(tb)-1]
-	if len(ga) == 0 || len(gb) == 0 {
-		return true // family-only form matches anything with that family
-	}
-	n := len(ga)
-	if len(gb) < n {
-		n = len(gb)
-	}
-	for i := 0; i < n; i++ {
-		if !tokenCompatible(ga[i], gb[i]) {
+	// A family-only form matches anything with that family.
+	for len(givenA) > 0 && len(givenB) > 0 {
+		var ta, tb []byte
+		ta, givenA = nextToken(givenA)
+		tb, givenB = nextToken(givenB)
+		if !tokenCompatible(ta, tb) {
 			return false
 		}
 	}
 	return true
 }
 
-func tokenCompatible(a, b string) bool {
-	if a == b {
-		return true
+// nextToken splits the first token off a space-separated token list.
+func nextToken(tokens []byte) (tok, rest []byte) {
+	if i := bytes.IndexByte(tokens, ' '); i >= 0 {
+		return tokens[:i], tokens[i+1:]
 	}
-	if len(a) == 1 && strings.HasPrefix(b, a) {
-		return true
-	}
-	if len(b) == 1 && strings.HasPrefix(a, b) {
-		return true
-	}
-	return false
+	return tokens, nil
+}
+
+func tokenCompatible(a, b []byte) bool {
+	return bytes.Equal(a, b) ||
+		len(a) == 1 && bytes.HasPrefix(b, a) ||
+		len(b) == 1 && bytes.HasPrefix(a, b)
 }
 
 // NameSimilarity returns a similarity in [0,1]: 1.0 for equal normalized

@@ -11,6 +11,7 @@ import (
 	"context"
 	"sort"
 	"strings"
+	"unicode"
 
 	"minaret/internal/fetch"
 	"minaret/internal/sources"
@@ -162,17 +163,27 @@ func (p *Profile) Countries() []string {
 }
 
 // NormalizeTitle canonicalizes a publication title for deduplication.
-func NormalizeTitle(title string) string {
-	var b strings.Builder
-	for _, r := range strings.ToLower(title) {
-		switch {
+func NormalizeTitle(title string) string { return string(AppendNormalizedTitle(nil, title)) }
+
+// AppendNormalizedTitle appends NormalizeTitle(title) to dst: the title
+// lower-cased, reduced to ASCII letters and digits, its space- or
+// tab-separated words joined by single spaces. Hot loops pass a reused
+// buffer so the comparison key costs no allocation.
+func AppendNormalizedTitle(dst []byte, title string) []byte {
+	start, gap := len(dst), false
+	for _, r := range title {
+		switch r = unicode.ToLower(r); {
 		case r >= 'a' && r <= 'z' || r >= '0' && r <= '9':
-			b.WriteRune(r)
+			if gap && len(dst) > start {
+				dst = append(dst, ' ')
+			}
+			gap = false
+			dst = append(dst, byte(r))
 		case r == ' ' || r == '\t':
-			b.WriteByte(' ')
+			gap = true
 		}
 	}
-	return strings.Join(strings.Fields(b.String()), " ")
+	return dst
 }
 
 // Assembler fetches and merges per-source records.
