@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt fmt-check bench bench-smoke bench-ledger ledger-check server cluster-smoke load-smoke adapt-smoke stream-smoke fuzz-smoke docs-check ci
+.PHONY: all build test race vet fmt fmt-check bench bench-smoke bench-ledger ledger-check perfbench-check server cluster-smoke load-smoke adapt-smoke stream-smoke fuzz-smoke docs-check ci
 
 # The perf ledger bench-ledger writes; bump the number with the PR
 # sequence so ledger-check can diff consecutive ledgers.
-LEDGER ?= BENCH_16.json
+LEDGER ?= BENCH_17.json
 
 all: build
 
@@ -43,9 +43,11 @@ bench:
 # the async job queue end to end over a warm Shared, a scheduler
 # sweep firing N due schedules through bounded admission, and the
 # load-harness pair: corpusgen size-targeting at 10x plus a warm
-# batch run over the 10x corpus, and COI detection of 63 reviewers
+# batch run over the 10x corpus, COI detection of 63 reviewers
 # against one prepared author list (a regression there means conflict
-# checks allocate per reviewer again).
+# checks allocate per reviewer again), and the encoding of a warm
+# 12-manuscript batch reply (a regression there means replies carry
+# whole profiles or indentation again).
 bench-smoke:
 	$(GO) test -bench=BenchmarkBatchPipeline -benchtime=1x -run '^$$' .
 	$(GO) test -bench='BenchmarkRetrieveCluster|BenchmarkRetrieveCold' -benchtime=1x -run '^$$' ./internal/core
@@ -56,6 +58,7 @@ bench-smoke:
 	$(GO) test -bench=BenchmarkSSEFanout -benchtime=1x -run '^$$' ./internal/httpapi
 	$(GO) test -bench=BenchmarkIncrementalInvalidate -benchtime=1x -run '^$$' ./internal/core
 	$(GO) test -bench=BenchmarkCOIDetection -benchtime=50x -run '^$$' .
+	$(GO) test -bench=BenchmarkEncodeBatchReply -benchtime=20x -run '^$$' ./internal/httpapi
 
 # Record the smoke suite as a perf ledger (see cmd/benchledger).
 # -count=3 so the ledger keeps the minimum of three observations per
@@ -75,6 +78,7 @@ bench-ledger:
 	run $(GO) test -bench=BenchmarkSSEFanout -benchtime=1x -count=3 -benchmem -run '^$$' ./internal/httpapi ; \
 	run $(GO) test -bench=BenchmarkIncrementalInvalidate -benchtime=1x -count=3 -benchmem -run '^$$' ./internal/core ; \
 	run $(GO) test -bench=BenchmarkCOIDetection -benchtime=50x -count=3 -benchmem -run '^$$' . ; \
+	run $(GO) test -bench=BenchmarkEncodeBatchReply -benchtime=20x -count=3 -benchmem -run '^$$' ./internal/httpapi ; \
 	$(GO) run ./cmd/benchledger -out $(LEDGER) <"$$tmp"; \
 	rm -f "$$tmp"
 
@@ -87,6 +91,13 @@ ledger-check:
 	while [ $$# -gt 2 ]; do shift; done; \
 	echo "ledger-check: $$1 -> $$2"; \
 	$(GO) run ./cmd/benchledger -compare $$1 $$2
+
+# CI gate: perfbench is a module of its own, so the root build and
+# tests never compile it; this vets and tests it against the tree, so a
+# type change in core, httpapi or jobs that breaks the benchmark fails
+# here rather than in the next benchmark run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 server:
 	$(GO) run ./cmd/minaret-server
@@ -181,4 +192,4 @@ docs-check: fmt-check vet
 	[ "$$fail" -eq 0 ] || exit 1
 	@echo "docs-check: ok"
 
-ci: fmt-check vet build race bench-smoke cluster-smoke load-smoke adapt-smoke stream-smoke fuzz-smoke ledger-check docs-check
+ci: fmt-check vet build race perfbench-check bench-smoke cluster-smoke load-smoke adapt-smoke stream-smoke fuzz-smoke ledger-check docs-check

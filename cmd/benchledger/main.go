@@ -35,6 +35,7 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 )
 
@@ -109,9 +110,11 @@ func main() {
 //
 //	BenchmarkRetrieveCold/live-8   1   83040732 ns/op   5166898 B/op   55612 allocs/op
 //
-// B/op and allocs/op are present only under -benchmem; both groups are
-// optional so plain -bench output still records timings.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+([0-9]+) B/op)?(?:\s+([0-9]+) allocs/op)?`)
+// After the iteration count a row is value-unit pairs: ns/op, any
+// metrics the benchmark reports itself (b.ReportMetric, printed before
+// the memory figures), then B/op and allocs/op under -benchmem. Only
+// ns/op is required, so plain -bench output still records timings.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(.*)$`)
 
 // record parses benchmark output into a ledger, keeping the minimum per
 // metric across repeated runs of the same benchmark.
@@ -130,16 +133,24 @@ func record(r io.Reader) (*Ledger, error) {
 			continue
 		}
 		name := m[1]
-		ns, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("parse %q: %w", sc.Text(), err)
+		e := Entry{NsOp: -1, Runs: 1}
+		fields := strings.Fields(m[2])
+		for i := 0; i+1 < len(fields); i += 2 {
+			var err error
+			switch fields[i+1] {
+			case "ns/op":
+				e.NsOp, err = strconv.ParseFloat(fields[i], 64)
+			case "B/op":
+				e.BytesOp, err = strconv.ParseInt(fields[i], 10, 64)
+			case "allocs/op":
+				e.AllocsOp, err = strconv.ParseInt(fields[i], 10, 64)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("parse %q: %w", sc.Text(), err)
+			}
 		}
-		e := Entry{NsOp: ns, Runs: 1}
-		if m[3] != "" {
-			e.BytesOp, _ = strconv.ParseInt(m[3], 10, 64)
-		}
-		if m[4] != "" {
-			e.AllocsOp, _ = strconv.ParseInt(m[4], 10, 64)
+		if e.NsOp < 0 {
+			continue
 		}
 		if prev, ok := led.Benchmarks[name]; ok {
 			e.NsOp = min(e.NsOp, prev.NsOp)

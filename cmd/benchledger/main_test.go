@@ -13,6 +13,7 @@ BenchmarkBatchPipeline/batch-cold-8         	       1	 93040732 ns/op	 5166898 B
 BenchmarkBatchPipeline/batch-cold-8         	       1	 83040732 ns/op	 5266898 B/op	   55610 allocs/op
 BenchmarkBatchPipeline/batch-warm-8         	       1	  1204000 ns/op	  166898 B/op	    1612 allocs/op
 BenchmarkRetrieveCold/live-8                	       1	 40000000 ns/op
+BenchmarkEncodeBatchReply-8                 	      20	  1741687 ns/op	       193.6 KB/reply	  240634 B/op	    3180 allocs/op
 --- some unrelated line ---
 PASS
 ok  	minaret	12.3s
@@ -23,8 +24,8 @@ func TestRecordParsesAndKeepsMin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(led.Benchmarks) != 3 {
-		t.Fatalf("parsed %d benchmarks, want 3: %v", len(led.Benchmarks), led.Benchmarks)
+	if len(led.Benchmarks) != 4 {
+		t.Fatalf("parsed %d benchmarks, want 4: %v", len(led.Benchmarks), led.Benchmarks)
 	}
 	cold, ok := led.Benchmarks["BenchmarkBatchPipeline/batch-cold"]
 	if !ok {
@@ -38,6 +39,12 @@ func TestRecordParsesAndKeepsMin(t *testing.T) {
 	live := led.Benchmarks["BenchmarkRetrieveCold/live"]
 	if live.NsOp != 40000000 || live.BytesOp != 0 || live.AllocsOp != 0 {
 		t.Fatalf("plain -bench line mis-parsed: %+v", live)
+	}
+	// A metric the benchmark reports itself sits between ns/op and the
+	// memory figures, and must not hide them.
+	enc := led.Benchmarks["BenchmarkEncodeBatchReply"]
+	if enc.NsOp != 1741687 || enc.BytesOp != 240634 || enc.AllocsOp != 3180 {
+		t.Fatalf("row with a custom metric mis-parsed: %+v", enc)
 	}
 	if led.Schema != 1 || led.GoVersion == "" {
 		t.Fatalf("ledger header incomplete: %+v", led)

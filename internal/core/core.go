@@ -7,6 +7,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -126,7 +127,9 @@ type KeywordMatch struct {
 	Score   float64 `json:"score"`
 }
 
-// Recommendation is one ranked reviewer with full score detail.
+// Recommendation is one ranked reviewer with full score detail. In
+// memory Reviewer points at the whole assembled profile (shared with
+// the caches); encoded, it is the profile's summary (see MarshalJSON).
 type Recommendation struct {
 	Rank      int               `json:"rank"`
 	Reviewer  *profile.Profile  `json:"reviewer"`
@@ -136,6 +139,36 @@ type Recommendation struct {
 	Matches []KeywordMatch `json:"matches"`
 	// BestKeywordScore is the maximum match score.
 	BestKeywordScore float64 `json:"best_keyword_score"`
+}
+
+// MarshalJSON encodes the recommendation with its reviewer reduced to
+// profile.Summary: a slate names each reviewer and explains the score,
+// and GET /api/reviewer serves the full track record on demand.
+func (r Recommendation) MarshalJSON() ([]byte, error) {
+	type fields Recommendation // the same fields, without this method
+	// The outer fields shadow the embedded ones of the same key; Rank
+	// is repeated only to keep "rank" the first key.
+	return json.Marshal(struct {
+		Rank     int              `json:"rank"`
+		Reviewer *profile.Summary `json:"reviewer"`
+		fields
+	}{r.Rank, r.Reviewer.Summary(), fields(r)})
+}
+
+// Profiles is a list of assembled profiles, whole in memory and
+// encoded as their summaries, like Recommendation.Reviewer.
+type Profiles []*profile.Profile
+
+// MarshalJSON encodes each profile as its profile.Summary.
+func (ps Profiles) MarshalJSON() ([]byte, error) {
+	if ps == nil {
+		return []byte("null"), nil
+	}
+	out := make([]*profile.Summary, len(ps))
+	for i, p := range ps {
+		out[i] = p.Summary()
+	}
+	return json.Marshal(out)
 }
 
 // Excluded records a candidate removed during filtering.
@@ -165,8 +198,9 @@ type Result struct {
 	// AuthorVerification holds the per-author identity resolution, for
 	// the Figure 4 confirmation UI.
 	AuthorVerification []*nameres.Result `json:"author_verification"`
-	// AuthorProfiles are the assembled track records of the authors.
-	AuthorProfiles []*profile.Profile `json:"author_profiles"`
+	// AuthorProfiles are the assembled track records of the authors
+	// (encoded as summaries).
+	AuthorProfiles Profiles `json:"author_profiles"`
 	// DerivedKeywords records keywords extracted from the abstract when
 	// the author supplied none (topic, source phrase, score).
 	DerivedKeywords []keywords.Grounded `json:"derived_keywords,omitempty"`

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -145,6 +146,48 @@ func TestSnapshotWarmStart(t *testing.T) {
 	}
 	if after.Expansions.Hits == 0 {
 		t.Fatalf("expansion memo cold after restore: %+v", after.Expansions)
+	}
+}
+
+// TestSnapshotKeepsWholeProfiles: a Result encodes its profiles as
+// summaries, but a cache snapshot must carry every assembled profile
+// whole — a profile restored without its publications would blind COI
+// detection after a restart.
+func TestSnapshotKeepsWholeProfiles(t *testing.T) {
+	w := newWorld(t, 77, 300)
+	m := w.manuscriptFor(w.pickAuthor(t))
+	warm := NewShared(SharedOptions{})
+	eng := NewWithShared(w.registry, w.ont, defaultEngine(w, Config{TopK: 5, MaxCandidates: 40}).cfg, warm)
+	if _, err := eng.Recommend(context.Background(), m); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := warm.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored := NewShared(SharedOptions{})
+	if _, err := restored.Restore(&buf); err != nil {
+		t.Fatal(err)
+	}
+
+	want := warm.profiles.Export()
+	got := map[string]*profile.Profile{}
+	for _, e := range restored.profiles.Export() {
+		got[e.Key] = e.Val
+	}
+	if len(got) != len(want) {
+		t.Fatalf("restored %d profiles, snapshotted %d", len(got), len(want))
+	}
+	pubs, reviews := 0, 0
+	for _, e := range want {
+		if !reflect.DeepEqual(got[e.Key], e.Val) {
+			t.Errorf("profile %s restored as %+v, want %+v", e.Key, got[e.Key], e.Val)
+		}
+		pubs += len(e.Val.Publications)
+		reviews += len(e.Val.Reviews)
+	}
+	if pubs == 0 || reviews == 0 {
+		t.Fatalf("warm profiles hold %d publications, %d reviews: nothing to carry", pubs, reviews)
 	}
 }
 

@@ -5,8 +5,9 @@
 // payload itself. The checksum turns a torn write (power loss
 // mid-save) into a clean load error instead of a half-restored state;
 // the length cap stops a corrupted length field from allocating
-// petabytes; WriteFileAtomic (temp file + rename) guarantees a crash
-// mid-save leaves the previous file intact, never a half-written one.
+// petabytes; WriteFileAtomic (synced temp file + rename + directory
+// sync) guarantees a crash mid-save leaves the previous file intact,
+// never a half-written one, and a completed save survives power loss.
 package envelope
 
 import (
@@ -16,6 +17,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 )
 
 // headerLen is the fixed envelope prefix: magic(8) + version(4) +
@@ -126,9 +128,11 @@ func DecodeFileRange(path, magic string, minVersion, maxVersion uint32, maxPaylo
 	return version, payload, true, nil
 }
 
-// WriteFileAtomic writes whatever write produces to path atomically: a
-// temp file in the same directory is renamed over the target, so a
-// crash mid-save leaves the previous file intact.
+// WriteFileAtomic writes whatever write produces to path atomically and
+// durably: a temp file in the same directory is synced to disk and
+// renamed over the target, and the directory is synced so the rename
+// survives power loss. A crash mid-save leaves the previous file
+// intact; a failed save removes its temp file and leaves it intact too.
 func WriteFileAtomic(path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
@@ -136,12 +140,36 @@ func WriteFileAtomic(path string, write func(io.Writer) error) error {
 		return err
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := write(tmp); err != nil {
-		tmp.Close()
+	err = write(tmp)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return err
 	}
-	if err := tmp.Close(); err != nil {
+	if err := os.Rename(tmp.Name(), path); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), path)
+	return syncDir(dir)
+}
+
+// syncDir flushes dir's entries, making a rename in it durable. Windows
+// cannot sync a directory handle; there the rename is left to the file
+// system.
+func syncDir(dir string) error {
+	if runtime.GOOS == "windows" {
+		return nil
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

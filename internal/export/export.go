@@ -96,7 +96,8 @@ func CSV(w io.Writer, res *core.Result) error {
 	return cw.Error()
 }
 
-// JSON writes the full result, indented.
+// JSON writes the result indented, its reviewers and authors encoded
+// as profile summaries (see core.Recommendation).
 func JSON(w io.Writer, res *core.Result) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

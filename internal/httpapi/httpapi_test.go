@@ -34,6 +34,12 @@ func newServerFixture(t testing.TB) (*scholarly.Corpus, *Server) {
 	corpus := scholarly.MustGenerate(scholarly.GeneratorConfig{
 		Seed: 77, NumScholars: 300, Topics: o.Topics(), Related: o.RelatedMap(),
 	})
+	return corpus, newServerFor(t, o, corpus)
+}
+
+// newServerFor builds a Server over a simulated web serving corpus.
+func newServerFor(t testing.TB, o *ontology.Ontology, corpus *scholarly.Corpus) *Server {
+	t.Helper()
 	web := simweb.New(corpus, simweb.Config{})
 	webSrv := httptest.NewServer(web.Mux())
 	t.Cleanup(webSrv.Close)
@@ -41,7 +47,7 @@ func newServerFixture(t testing.TB) (*scholarly.Corpus, *Server) {
 	registry := sources.DefaultRegistry(f, sources.SingleHost(webSrv.URL))
 	srv := New(registry, o, core.Config{TopK: 5, MaxCandidates: 40}, corpus.HorizonYear)
 	srv.SetFetcher(f)
-	return corpus, srv
+	return srv
 }
 
 func newAPIFixture(t testing.TB) *apiFixture {

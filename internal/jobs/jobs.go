@@ -797,10 +797,11 @@ func (q *Queue) evictTerminalLocked() {
 	}
 }
 
-// Cancel withdraws a job. Queued jobs become canceled immediately;
-// running jobs have their context canceled and settle to canceled once
-// the batch unwinds (a run that had already finished every item stays
-// done — cancellation raced completion). Terminal jobs return
+// Cancel withdraws a job. Queued jobs leave the queue at once and
+// become canceled once the store holds the cancellation; running jobs
+// have their context canceled and settle to canceled once the batch
+// unwinds (a run that had already finished every item stays done —
+// cancellation raced completion). Terminal jobs return
 // ErrFinished; unknown IDs ErrNotFound. The returned snapshot is the
 // state as of the call.
 func (q *Queue) Cancel(id string) (Job, error) {
@@ -812,18 +813,33 @@ func (q *Queue) Cancel(id string) (Job, error) {
 	}
 	switch rec.state {
 	case StateQueued:
+		if rec.userCanceled {
+			// A concurrent Cancel has unlinked it and is saving.
+			snap := rec.snapshot()
+			q.mu.Unlock()
+			return snap, nil
+		}
+		// Unlinked now so no worker starts it; like finish, the
+		// canceled state is staged, saved, and only then published.
 		q.removeQueuedLocked(rec)
 		rec.userCanceled = true
-		rec.state = StateCanceled
-		rec.errMsg = "canceled by request"
-		rec.finishedAt = q.now()
-		q.terminalOrder = append(q.terminalOrder, rec.spec.ID)
-		q.evictTerminalLocked()
-		q.notify.enqueue(rec.snapshot())
-		q.touchLocked(rec)
-		snap := rec.snapshot()
+		next := *rec
+		next.state = StateCanceled
+		next.errMsg = "canceled by request"
+		next.finishedAt = q.now()
 		q.mu.Unlock()
-		q.saveLogged()
+		var snap Job
+		saveErr := q.saveStaged(&next, func() {
+			rec.state, rec.errMsg, rec.finishedAt = next.state, next.errMsg, next.finishedAt
+			q.terminalOrder = append(q.terminalOrder, rec.spec.ID)
+			q.evictTerminalLocked()
+			q.notify.enqueue(rec.snapshot())
+			q.touchLocked(rec)
+			snap = rec.snapshot()
+		})
+		if saveErr != nil {
+			q.opts.Logf("job store save: %v", saveErr)
+		}
 		return snap, nil
 	case StateRunning:
 		rec.userCanceled = true

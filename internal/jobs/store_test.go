@@ -103,11 +103,22 @@ func TestStoreRunningDemotedToQueued(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-g.started // running now; the Submit-time save saw it queued
-	// Simulate SIGKILL: abandon q1 without Stop. Release the runner so
-	// the test's goroutines exit.
+	// Simulate SIGKILL: the next process reads what is on disk while the
+	// run is still in flight, so copy the file now. Then release and stop
+	// q1, so it neither saves its done state into the copy nor writes
+	// into the TempDir during cleanup.
+	killed := filepath.Join(t.TempDir(), "killed.store")
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(killed, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	close(g.release)
+	stopQueue(t, q1)
 
-	q2 := New(okRunner, Options{Workers: 1, StorePath: path})
+	q2 := New(okRunner, Options{Workers: 1, StorePath: killed})
 	stats, ok, err := q2.Load()
 	if err != nil || !ok {
 		t.Fatalf("load: %v ok=%v", err, ok)

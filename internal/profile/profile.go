@@ -59,6 +59,44 @@ type Profile struct {
 	SourceErrors map[string]string
 }
 
+// Summary is a profile's identity and headline figures: what a slate
+// shows of a reviewer or an author, without the track record behind
+// them (publications, reviews, affiliation history). Its fields and
+// JSON keys are Profile's, so an encoded summary decodes into a
+// *Profile with these fields set and the track record empty.
+type Summary struct {
+	Name         string
+	Given        string
+	Family       string
+	SiteIDs      map[string]string
+	Affiliation  string
+	Country      string
+	Interests    []string
+	Citations    int
+	HIndex       int
+	I10Index     int
+	ReviewCount  int
+	SourcesUsed  []string
+	SourceErrors map[string]string
+}
+
+// Summary returns the profile's summary, sharing its slices and maps;
+// nil for a nil profile.
+func (p *Profile) Summary() *Summary {
+	if p == nil {
+		return nil
+	}
+	return &Summary{
+		Name: p.Name, Given: p.Given, Family: p.Family,
+		SiteIDs:     p.SiteIDs,
+		Affiliation: p.Affiliation, Country: p.Country,
+		Interests: p.Interests,
+		Citations: p.Citations, HIndex: p.HIndex, I10Index: p.I10Index,
+		ReviewCount: p.ReviewCount,
+		SourcesUsed: p.SourcesUsed, SourceErrors: p.SourceErrors,
+	}
+}
+
 // PubYears returns the publication years, most recent first.
 func (p *Profile) PubYears() []int {
 	out := make([]int, len(p.Publications))

@@ -273,3 +273,45 @@ func TestEmptyProfileHelpers(t *testing.T) {
 		t.Fatal("empty countries")
 	}
 }
+
+// TestSummaryMirrorsProfile: every Summary field is the Profile field of
+// the same name and type (so an encoded summary decodes into a Profile),
+// and Summary copies each of them; only the track record is left out.
+func TestSummaryMirrorsProfile(t *testing.T) {
+	p := &Profile{
+		Name: "Ada Lovelace", Given: "Ada", Family: "Lovelace",
+		SiteIDs:     map[string]string{"dblp": "p1"},
+		Affiliation: "Analytical Society", Country: "UK",
+		AffiliationHistory: []sources.AffPeriod{{Institution: "Analytical Society"}},
+		Interests:          []string{"engines"},
+		Publications:       []Publication{{Title: "Notes", Year: 1843}},
+		Citations:          321, HIndex: 12, I10Index: 7,
+		Reviews:     []sources.ReviewRecord{{Venue: "Memoirs"}},
+		ReviewCount: 1,
+		SourcesUsed: []string{"dblp"}, SourceErrors: map[string]string{"acm": "503"},
+	}
+	sum := reflect.ValueOf(p.Summary()).Elem()
+	full := reflect.ValueOf(p).Elem()
+	left := map[string]bool{}
+	for i := 0; i < full.NumField(); i++ {
+		left[full.Type().Field(i).Name] = true
+	}
+	for i := 0; i < sum.NumField(); i++ {
+		f := sum.Type().Field(i)
+		pf, ok := full.Type().FieldByName(f.Name)
+		if !ok || pf.Type != f.Type || pf.Tag != f.Tag {
+			t.Fatalf("Summary.%s %v has no Profile twin", f.Name, f.Type)
+		}
+		if !reflect.DeepEqual(sum.Field(i).Interface(), full.FieldByName(f.Name).Interface()) {
+			t.Errorf("Summary().%s = %v, profile holds %v", f.Name, sum.Field(i), full.FieldByName(f.Name))
+		}
+		delete(left, f.Name)
+	}
+	want := map[string]bool{"AffiliationHistory": true, "Publications": true, "Reviews": true}
+	if !reflect.DeepEqual(left, want) {
+		t.Fatalf("Summary leaves out %v, want only the track record %v", left, want)
+	}
+	if (*Profile)(nil).Summary() != nil {
+		t.Fatal("nil profile has a summary")
+	}
+}
